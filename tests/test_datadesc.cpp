@@ -182,6 +182,92 @@ INSTANTIATE_TEST_SUITE_P(AllArchPairs, CodecRoundTrip, ::testing::ValuesIn(all_c
                                   info.param.receiver;
                          });
 
+// -- golden wire format ---------------------------------------------------------------
+
+/// 64-bit FNV-1a of an encoded buffer.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct GoldenWire {
+  const char* value;  ///< "sink_ref", "sink_null" or "pastry"
+  const char* codec;
+  const char* sender;
+  size_t size;
+  std::uint64_t hash;
+};
+
+/// Pins the exact bytes every binary codec emits for each sender layout, so
+/// a change to the encoders cannot alter the wire format unnoticed.
+TEST(WireGolden, BinaryCodecsEmitPinnedBytes) {
+  static const GoldenWire kGolden[] = {
+      {"sink_ref", "gras", "x86", 109, 0x59657922a505f173ULL},
+      {"sink_ref", "gras", "sparc", 109, 0x33588b29329acd24ULL},
+      {"sink_ref", "gras", "ppc", 109, 0x0a51b8f260f5cb75ULL},
+      {"sink_ref", "gras", "amd64", 117, 0x20f5521eb3be370aULL},
+      {"sink_ref", "mpich", "x86", 128, 0xc6d188e56f1fa946ULL},
+      {"sink_ref", "mpich", "sparc", 128, 0xc6d188e56f1fa946ULL},
+      {"sink_ref", "mpich", "ppc", 128, 0xc6d188e56f1fa946ULL},
+      {"sink_ref", "mpich", "amd64", 128, 0xc6d188e56f1fa946ULL},
+      {"sink_ref", "omniorb", "x86", 114, 0xe19284b4bafe4132ULL},
+      {"sink_ref", "omniorb", "sparc", 114, 0xe15a563817a05623ULL},
+      {"sink_ref", "omniorb", "ppc", 114, 0xe15a563817a05623ULL},
+      {"sink_ref", "omniorb", "amd64", 114, 0xe19284b4bafe4132ULL},
+      {"sink_ref", "pbio", "x86", 325, 0x215108932c037a81ULL},
+      {"sink_ref", "pbio", "sparc", 325, 0x7cc4d22248a6037aULL},
+      {"sink_ref", "pbio", "ppc", 325, 0x9aa5e6525dc105e7ULL},
+      {"sink_ref", "pbio", "amd64", 333, 0x8604328bd6eca5b4ULL},
+      {"sink_null", "gras", "x86", 101, 0x9b791bcc38c4571fULL},
+      {"sink_null", "gras", "sparc", 101, 0x61244a0ae4e254c6ULL},
+      {"sink_null", "gras", "ppc", 101, 0x83fa79c1430cd2b3ULL},
+      {"sink_null", "gras", "amd64", 109, 0x6a7fe5a19c2d434eULL},
+      {"sink_null", "mpich", "x86", 124, 0xef64c680c6195aeaULL},
+      {"sink_null", "mpich", "sparc", 124, 0xef64c680c6195aeaULL},
+      {"sink_null", "mpich", "ppc", 124, 0xef64c680c6195aeaULL},
+      {"sink_null", "mpich", "amd64", 124, 0xef64c680c6195aeaULL},
+      {"sink_null", "omniorb", "x86", 106, 0xd7367f17dbcaab0eULL},
+      {"sink_null", "omniorb", "sparc", 106, 0xf1857ea576defd85ULL},
+      {"sink_null", "omniorb", "ppc", 106, 0xf1857ea576defd85ULL},
+      {"sink_null", "omniorb", "amd64", 106, 0xd7367f17dbcaab0eULL},
+      {"sink_null", "pbio", "x86", 317, 0xd7068b8f3c30a94dULL},
+      {"sink_null", "pbio", "sparc", 317, 0x1e33f62dd7ed5abcULL},
+      {"sink_null", "pbio", "ppc", 317, 0xbba7c3775a5eef7dULL},
+      {"sink_null", "pbio", "amd64", 325, 0xadfa95392fb2ec88ULL},
+      {"pastry", "gras", "x86", 1373, 0xcab1f91cf757141eULL},
+      {"pastry", "gras", "sparc", 1377, 0x6fccc17a4e76e84bULL},
+      {"pastry", "gras", "ppc", 1377, 0x8dc840e7ff7ca85eULL},
+      {"pastry", "gras", "amd64", 1377, 0x855eeb67fab525a7ULL},
+      {"pastry", "mpich", "x86", 1376, 0x54b8a906fb97042cULL},
+      {"pastry", "mpich", "sparc", 1376, 0x54b8a906fb97042cULL},
+      {"pastry", "mpich", "ppc", 1376, 0x54b8a906fb97042cULL},
+      {"pastry", "mpich", "amd64", 1376, 0x54b8a906fb97042cULL},
+      {"pastry", "omniorb", "x86", 1378, 0x0305b2ad65c63d5eULL},
+      {"pastry", "omniorb", "sparc", 1378, 0x86ed223606ed97bbULL},
+      {"pastry", "omniorb", "ppc", 1378, 0x86ed223606ed97bbULL},
+      {"pastry", "omniorb", "amd64", 1378, 0x0305b2ad65c63d5eULL},
+      {"pastry", "pbio", "x86", 2073, 0x285373badc6044dbULL},
+      {"pastry", "pbio", "sparc", 2073, 0x2c3db7f72b44a3aaULL},
+      {"pastry", "pbio", "ppc", 2073, 0x39db215631739b63ULL},
+      {"pastry", "pbio", "amd64", 2081, 0x4843a4436cf94576ULL},
+  };
+  sg::xbt::Rng rng(2006);
+  const Value pastry = make_pastry_message(rng, 256);
+  for (const GoldenWire& g : kGolden) {
+    const std::string value = g.value;
+    const bool sink = value != "pastry";
+    const DataDesc& desc = sink ? *kitchen_sink_desc() : *pastry_message_desc();
+    const Value v = sink ? kitchen_sink_value(value == "sink_null") : pastry;
+    const auto wire = codec_by_name(g.codec).encode(desc, v, arch_by_name(g.sender));
+    EXPECT_EQ(wire.size(), g.size) << g.value << " " << g.codec << " from " << g.sender;
+    EXPECT_EQ(fnv1a(wire), g.hash) << g.value << " " << g.codec << " from " << g.sender;
+  }
+}
+
 // -- codec specifics -----------------------------------------------------------------
 
 TEST(Ndr, SameArchIsSmallerThanXdrForNarrowTypes) {
