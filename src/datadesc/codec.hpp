@@ -11,8 +11,13 @@
 ///                 receiver swaps when flags differ.
 ///  * "pbio"    — self-describing binary: a metadata section describing the
 ///                 format precedes natively-laid-out data; the receiver
-///                 interprets metadata to convert.
+///                 checks the metadata against the format it expects.
 ///  * "xml"     — tagged text; maximal portability, maximal cost.
+///
+/// The four binary codecs are one walker (binary.cpp) over the flat plan each
+/// DataDesc compiles at construction (plan.hpp), driven by a per-codec rules
+/// row: layout and header, string framing, count alignment, ref-marker width,
+/// metadata. XML keeps its own recursive walker over the description tree.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +32,10 @@ public:
   virtual ~Codec() = default;
   virtual const char* name() const = 0;
 
-  /// Serialize `v` (which must match `desc`) as emitted by a host of
-  /// architecture `sender`.
+  /// Serialize `v` as emitted by a host of architecture `sender`. Throws
+  /// xbt::InvalidArgument, naming the description, when a struct's field
+  /// count or a fixed array's length differs from `desc`, and when a value
+  /// does not fit its wire width.
   virtual std::vector<std::uint8_t> encode(const DataDesc& desc, const Value& v,
                                            const ArchDesc& sender) const = 0;
 

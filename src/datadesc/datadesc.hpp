@@ -2,7 +2,8 @@
 /// Data description trees — GRAS's `gras_datadesc` mechanism. A DataDesc
 /// describes the logical shape of a message payload: scalars (with
 /// architecture-dependent layout), strings, fixed and dynamic arrays,
-/// structures, and nullable references.
+/// structures, and nullable references. Each factory also compiles the node
+/// into a flat conversion plan (plan.hpp) that the binary codecs execute.
 #pragma once
 
 #include <memory>
@@ -15,6 +16,7 @@
 namespace sg::datadesc {
 
 class DataDesc;
+struct Plan;
 using DataDescPtr = std::shared_ptr<const DataDesc>;
 
 class DataDesc {
@@ -32,6 +34,10 @@ public:
   const std::vector<Field>& fields() const { return fields_; }
   const DataDescPtr& element() const { return element_; }
   size_t array_size() const { return array_size_; }
+  /// The node compiled into a flat conversion plan (built by the factory).
+  const Plan& plan() const { return *plan_; }
+
+  ~DataDesc();
 
   // -- factories ---------------------------------------------------------------
   static DataDescPtr scalar(CType type, const std::string& name = "");
@@ -46,7 +52,9 @@ public:
   void check(const Value& v, const std::string& path = "") const;
 
 private:
-  explicit DataDesc(Kind kind) : kind_(kind) {}
+  explicit DataDesc(Kind kind);
+  /// Build plan_ from the members the factory has set.
+  void compile();
 
   Kind kind_;
   std::string name_;
@@ -54,6 +62,7 @@ private:
   std::vector<Field> fields_;
   DataDescPtr element_;
   size_t array_size_ = 0;
+  std::unique_ptr<const Plan> plan_;
 };
 
 /// The global "by name" registry used by gras_datadesc_by_name (pre-seeded

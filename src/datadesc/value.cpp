@@ -6,56 +6,8 @@
 
 namespace sg::datadesc {
 
-int64_t Value::as_int() const {
-  if (is_int())
-    return std::get<int64_t>(data_);
-  if (is_uint())
-    return static_cast<int64_t>(std::get<uint64_t>(data_));
-  throw xbt::InvalidArgument("Value is not an integer: " + to_string());
-}
-
-uint64_t Value::as_uint() const {
-  if (is_uint())
-    return std::get<uint64_t>(data_);
-  if (is_int())
-    return static_cast<uint64_t>(std::get<int64_t>(data_));
-  throw xbt::InvalidArgument("Value is not an integer: " + to_string());
-}
-
-double Value::as_float() const {
-  if (is_float())
-    return std::get<double>(data_);
-  throw xbt::InvalidArgument("Value is not a float: " + to_string());
-}
-
-const std::string& Value::as_string() const {
-  if (!is_string())
-    throw xbt::InvalidArgument("Value is not a string: " + to_string());
-  return std::get<std::string>(data_);
-}
-
-const ValueList& Value::as_list() const {
-  if (!is_list())
-    throw xbt::InvalidArgument("Value is not a list: " + to_string());
-  return std::get<ValueList>(data_);
-}
-
-ValueList& Value::as_list() {
-  if (!is_list())
-    throw xbt::InvalidArgument("Value is not a list");
-  return std::get<ValueList>(data_);
-}
-
-const ValueStruct& Value::as_struct() const {
-  if (!is_struct())
-    throw xbt::InvalidArgument("Value is not a struct: " + to_string());
-  return std::get<ValueStruct>(data_);
-}
-
-ValueStruct& Value::as_struct() {
-  if (!is_struct())
-    throw xbt::InvalidArgument("Value is not a struct");
-  return std::get<ValueStruct>(data_);
+void Value::type_error(const char* what) const {
+  throw xbt::InvalidArgument(std::string("Value is not ") + what + ": " + to_string());
 }
 
 const Value& Value::field(const std::string& name) const {

@@ -44,14 +44,28 @@ public:
     return v;
   }
 
-  int64_t as_int() const;
-  uint64_t as_uint() const;
-  double as_float() const;
-  const std::string& as_string() const;
-  const ValueList& as_list() const;
-  ValueList& as_list();
-  const ValueStruct& as_struct() const;
-  ValueStruct& as_struct();
+  // Accessors throw xbt::InvalidArgument on a type mismatch; an integer
+  // reads as either signedness.
+  int64_t as_int() const {
+    if (const auto* p = std::get_if<int64_t>(&data_))
+      return *p;
+    if (const auto* p = std::get_if<uint64_t>(&data_))
+      return static_cast<int64_t>(*p);
+    type_error("an integer");
+  }
+  uint64_t as_uint() const {
+    if (const auto* p = std::get_if<uint64_t>(&data_))
+      return *p;
+    if (const auto* p = std::get_if<int64_t>(&data_))
+      return static_cast<uint64_t>(*p);
+    type_error("an integer");
+  }
+  double as_float() const { return get<double>("a float"); }
+  const std::string& as_string() const { return get<std::string>("a string"); }
+  const ValueList& as_list() const { return get<ValueList>("a list"); }
+  ValueList& as_list() { return get<ValueList>("a list"); }
+  const ValueStruct& as_struct() const { return get<ValueStruct>("a struct"); }
+  ValueStruct& as_struct() { return get<ValueStruct>("a struct"); }
 
   /// Struct field access by name (throws if absent).
   const Value& field(const std::string& name) const;
@@ -62,6 +76,21 @@ public:
   std::string to_string() const;
 
 private:
+  template <typename T>
+  const T& get(const char* what) const {
+    if (const auto* p = std::get_if<T>(&data_))
+      return *p;
+    type_error(what);
+  }
+  template <typename T>
+  T& get(const char* what) {
+    if (auto* p = std::get_if<T>(&data_))
+      return *p;
+    type_error(what);
+  }
+  /// Throw "Value is not <what>: <rendering>".
+  [[noreturn]] void type_error(const char* what) const;
+
   std::variant<std::monostate, int64_t, uint64_t, double, std::string, ValueList, ValueStruct> data_;
 };
 

@@ -1,8 +1,11 @@
 /// \file wire.hpp
 /// Low-level byte stream reader/writer shared by the codecs: alignment
 /// padding, explicit endianness, explicit scalar widths, range checking.
+/// Scalars move with one memcpy plus, when the byte orders differ, one byte
+/// swap; error text is only built on the throwing path.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -14,93 +17,150 @@
 
 namespace sg::datadesc {
 
+namespace wire_detail {
+
+inline std::uint16_t bswap(std::uint16_t x) { return __builtin_bswap16(x); }
+inline std::uint32_t bswap(std::uint32_t x) { return __builtin_bswap32(x); }
+inline std::uint64_t bswap(std::uint64_t x) { return __builtin_bswap64(x); }
+
+template <typename T>
+void store(std::uint8_t* p, std::uint64_t bits, bool big_endian) {
+  auto x = static_cast<T>(bits);
+  if (big_endian != (std::endian::native == std::endian::big))
+    x = bswap(x);
+  std::memcpy(p, &x, sizeof x);
+}
+
+template <typename T>
+std::uint64_t load(const std::uint8_t* p, bool big_endian) {
+  T x;
+  std::memcpy(&x, p, sizeof x);
+  if (big_endian != (std::endian::native == std::endian::big))
+    x = bswap(x);
+  return x;
+}
+
+}  // namespace wire_detail
+
+/// Append-only writer over one buffer. Bytes past the cursor are always zero
+/// (the buffer only grows by value-initialized resizes), so alignment padding
+/// is a cursor move.
 class WireWriter {
 public:
-  const std::vector<std::uint8_t>& buffer() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
+  /// `size_hint` is the initial buffer size; the buffer grows past it.
+  explicit WireWriter(size_t size_hint = 0) : buf_(size_hint) {}
 
+  /// The bytes written so far; the writer is spent afterwards.
+  std::vector<std::uint8_t> take() {
+    buf_.resize(pos_);
+    return std::move(buf_);
+  }
+
+  /// Pad with zeros to a multiple of `alignment` (a power of two).
   void align(size_t alignment) {
-    if (alignment > 1)
-      while (buf_.size() % alignment != 0)
-        buf_.push_back(0);
+    const size_t pad = (0 - pos_) & (alignment - 1);
+    room(pad);
+    pos_ += pad;
   }
 
   void put_bytes(const void* data, size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (n == 0)
+      return;
+    room(n);
+    std::memcpy(buf_.data() + pos_, data, n);
+    pos_ += n;
   }
 
-  void put_u8(std::uint8_t v) { buf_.push_back(v); }
+  void put_u8(std::uint8_t v) {
+    room(1);
+    buf_[pos_++] = v;
+  }
 
-  /// Write the low `size` bytes of `bits` with the requested byte order.
+  /// Write the low `size` (1, 2, 4 or 8) bytes of `bits` in the requested
+  /// byte order.
   void put_bits(std::uint64_t bits, int size, bool big_endian) {
-    std::uint8_t tmp[8];
-    for (int i = 0; i < size; ++i)
-      tmp[i] = static_cast<std::uint8_t>(bits >> (8 * i));  // little-endian order
-    if (big_endian)
-      for (int i = size - 1; i >= 0; --i)
-        buf_.push_back(tmp[i]);
-    else
-      put_bytes(tmp, static_cast<size_t>(size));
+    room(static_cast<size_t>(size));
+    std::uint8_t* p = buf_.data() + pos_;
+    switch (size) {
+      case 1: *p = static_cast<std::uint8_t>(bits); break;
+      case 2: wire_detail::store<std::uint16_t>(p, bits, big_endian); break;
+      case 4: wire_detail::store<std::uint32_t>(p, bits, big_endian); break;
+      default: wire_detail::store<std::uint64_t>(p, bits, big_endian); break;
+    }
+    pos_ += static_cast<size_t>(size);
   }
 
 private:
+  void room(size_t n) {
+    if (n > buf_.size() - pos_)
+      buf_.resize(std::max(2 * buf_.size(), pos_ + n));
+  }
+
   std::vector<std::uint8_t> buf_;
+  size_t pos_ = 0;
 };
 
 class WireReader {
 public:
-  explicit WireReader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
+  explicit WireReader(const std::vector<std::uint8_t>& buf) : data_(buf.data()), size_(buf.size()) {}
 
-  size_t position() const { return pos_; }
-  size_t remaining() const { return buf_.size() - pos_; }
-  bool exhausted() const { return pos_ >= buf_.size(); }
+  size_t remaining() const { return size_ - pos_; }
 
-  void align(size_t alignment) {
-    if (alignment > 1)
-      while (pos_ % alignment != 0)
-        skip(1);
-  }
+  /// Skip to a multiple of `alignment` (a power of two).
+  void align(size_t alignment) { skip((0 - pos_) & (alignment - 1)); }
 
   void skip(size_t n) {
     need(n);
     pos_ += n;
   }
 
+  /// Consume `bytes` if the stream continues with exactly them.
+  bool skip_if_equal(const std::vector<std::uint8_t>& bytes) {
+    if (bytes.size() > remaining() || std::memcmp(data_ + pos_, bytes.data(), bytes.size()) != 0)
+      return false;
+    pos_ += bytes.size();
+    return true;
+  }
+
   std::uint8_t get_u8() {
     need(1);
-    return buf_[pos_++];
+    return data_[pos_++];
   }
 
-  void get_bytes(void* out, size_t n) {
+  /// The next `n` bytes, consumed; valid as long as the read buffer.
+  const char* take(size_t n) {
     need(n);
-    std::memcpy(out, buf_.data() + pos_, n);
+    const auto* p = reinterpret_cast<const char*>(data_ + pos_);
     pos_ += n;
+    return p;
   }
 
+  /// Read `size` (1, 2, 4 or 8) bytes in the given byte order.
   std::uint64_t get_bits(int size, bool big_endian) {
     need(static_cast<size_t>(size));
-    std::uint64_t bits = 0;
-    if (big_endian) {
-      for (int i = 0; i < size; ++i)
-        bits = (bits << 8) | buf_[pos_ + static_cast<size_t>(i)];
-    } else {
-      for (int i = size - 1; i >= 0; --i)
-        bits = (bits << 8) | buf_[pos_ + static_cast<size_t>(i)];
-    }
+    const std::uint8_t* p = data_ + pos_;
     pos_ += static_cast<size_t>(size);
-    return bits;
+    switch (size) {
+      case 1: return *p;
+      case 2: return wire_detail::load<std::uint16_t>(p, big_endian);
+      case 4: return wire_detail::load<std::uint32_t>(p, big_endian);
+      default: return wire_detail::load<std::uint64_t>(p, big_endian);
+    }
   }
 
 private:
   void need(size_t n) const {
-    if (pos_ + n > buf_.size())
-      throw xbt::InvalidArgument("wire: truncated buffer (need " + std::to_string(n) + " at " +
-                                 std::to_string(pos_) + "/" + std::to_string(buf_.size()) + ")");
+    if (n > size_ - pos_)
+      truncated(n);
   }
 
-  const std::vector<std::uint8_t>& buf_;
+  [[noreturn]] void truncated(size_t n) const {
+    throw xbt::InvalidArgument("wire: truncated buffer (need " + std::to_string(n) + " at " +
+                               std::to_string(pos_) + "/" + std::to_string(size_) + ")");
+  }
+
+  const std::uint8_t* data_;
+  size_t size_;
   size_t pos_ = 0;
 };
 
@@ -116,24 +176,41 @@ inline std::int64_t sign_extend(std::uint64_t bits, int size) {
   return static_cast<std::int64_t>(bits);
 }
 
+/// Whether a signed value fits in `size` bytes.
+inline bool int_fits(std::int64_t v, int size) {
+  if (size >= 8)
+    return true;
+  const std::int64_t hi = (1LL << (8 * size - 1)) - 1;
+  return v >= -hi - 1 && v <= hi;
+}
+
+inline bool uint_fits(std::uint64_t v, int size) {
+  return size >= 8 || v <= (1ULL << (8 * size)) - 1;
+}
+
+[[noreturn]] inline void throw_does_not_fit(const std::string& what, const std::string& value,
+                                            int size) {
+  throw xbt::InvalidArgument(what + ": value " + value + " does not fit in " +
+                             std::to_string(size) + " bytes");
+}
+
 /// Check a signed value fits in `size` bytes.
 inline void check_int_fits(std::int64_t v, int size, const std::string& what) {
-  if (size >= 8)
-    return;
-  const std::int64_t hi = (1LL << (8 * size - 1)) - 1;
-  const std::int64_t lo = -hi - 1;
-  if (v < lo || v > hi)
-    throw xbt::InvalidArgument(what + ": value " + std::to_string(v) + " does not fit in " +
-                               std::to_string(size) + " bytes");
+  if (!int_fits(v, size))
+    throw_does_not_fit(what, std::to_string(v), size);
 }
 
 inline void check_uint_fits(std::uint64_t v, int size, const std::string& what) {
-  if (size >= 8)
-    return;
-  const std::uint64_t hi = (1ULL << (8 * size)) - 1;
-  if (v > hi)
-    throw xbt::InvalidArgument(what + ": value " + std::to_string(v) + " does not fit in " +
-                               std::to_string(size) + " bytes");
+  if (!uint_fits(v, size))
+    throw_does_not_fit(what, std::to_string(v), size);
+}
+
+/// Check that a struct value has as many fields, or a fixed-array value as
+/// many elements (`what`), as the description `name` declares.
+inline void check_shape(size_t got, size_t want, const std::string& name, const char* what) {
+  if (got != want)
+    throw xbt::InvalidArgument(name + ": value has " + std::to_string(got) + " " + what +
+                               ", description has " + std::to_string(want));
 }
 
 inline std::uint64_t float_to_bits(double v, bool single) {

@@ -143,6 +143,7 @@ private:
         out += "</str>\n";
         break;
       case DataDesc::Kind::kStruct:
+        check_shape(v.as_struct().size(), d.fields().size(), d.name(), "fields");
         out += "<struct>\n";
         for (size_t i = 0; i < d.fields().size(); ++i)
           encode_node(out, *d.fields()[i].desc, v.as_struct()[i].second);
@@ -150,6 +151,8 @@ private:
         break;
       case DataDesc::Kind::kFixedArray:
       case DataDesc::Kind::kDynArray:
+        if (d.kind() == DataDesc::Kind::kFixedArray)
+          check_shape(v.as_list().size(), d.array_size(), d.name(), "elements");
         out += "<list>\n";
         for (const Value& e : v.as_list())
           encode_node(out, *d.element(), e);

@@ -122,6 +122,13 @@ public:
 
   int fd() const { return fd_; }
 
+  /// Wake a reader blocked on the socket without releasing the descriptor.
+  void shutdown_fd() {
+    const int fd = fd_.load();
+    if (fd >= 0)
+      ::shutdown(fd, SHUT_RDWR);
+  }
+
   void close_fd() {
     int expected = fd_.exchange(-1);
     if (expected >= 0) {
@@ -266,21 +273,28 @@ public:
     if (torn_down_)
       return;
     torn_down_ = true;
-    for (int fd : listen_fds_) {
+    // Shut descriptors down to wake the threads blocked on them, and close
+    // them only once those threads are joined: closing a descriptor another
+    // thread is still reading lets that thread read whatever file reuses
+    // its number.
+    for (int fd : listen_fds_)
       ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-    }
-    {
-      std::lock_guard<std::mutex> lock(sockets_mutex_);
-      for (auto& s : sockets_)
-        s->close_fd();
-    }
     for (auto& t : acceptors_)
       if (t.joinable())
         t.join();
-    for (auto& t : readers_)
+    {
+      std::lock_guard<std::mutex> lock(sockets_mutex_);
+      for (auto& s : sockets_)
+        s->shutdown_fd();
+    }
+    for (auto& t : readers_)  // acceptors are joined, so no reader is added any more
       if (t.joinable())
         t.join();
+    for (int fd : listen_fds_)
+      ::close(fd);
+    std::lock_guard<std::mutex> lock(sockets_mutex_);
+    for (auto& s : sockets_)
+      s->close_fd();
   }
 
 private:

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "datadesc/codec.hpp"
 #include "datadesc/pastry.hpp"
@@ -338,6 +339,40 @@ TEST(Pbio, DetectsFormatMismatch) {
   EXPECT_THROW(pbio_codec().decode(*desc_b, wire, arch_by_name("x86")), sg::xbt::InvalidArgument);
 }
 
+/// The message of the first error a decode throws.
+std::string decode_error(const Codec& codec, const DataDesc& desc,
+                         const std::vector<std::uint8_t>& wire, const char* receiver) {
+  try {
+    (void)codec.decode(desc, wire, arch_by_name(receiver));
+  } catch (const sg::xbt::InvalidArgument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Pbio, FieldNameMismatchMessage) {
+  auto desc_a = DataDesc::struct_("m", {{"x", datadesc_by_name("int")}});
+  auto desc_b = DataDesc::struct_("m", {{"y", datadesc_by_name("int")}});
+  const auto wire = pbio_codec().encode(*desc_a, Value(ValueStruct{{"x", Value(1)}}),
+                                        arch_by_name("x86"));
+  EXPECT_EQ(decode_error(pbio_codec(), *desc_b, wire, "x86"),
+            "pbio: field name mismatch: got 'x', want 'y'");
+}
+
+TEST(Pbio, AcceptsDescriptionDifferingOnlyInNodeNames) {
+  // Same fields, kinds and types; only the struct's and the scalar's own
+  // names differ, so the metadata bytes differ but the format is compatible.
+  auto sent = DataDesc::struct_("msg_v1", {{"x", DataDesc::scalar(CType::kInt32, "count")},
+                                           {"s", DataDesc::string("text")}});
+  auto expected = DataDesc::struct_("msg_v2", {{"x", DataDesc::scalar(CType::kInt32, "n")},
+                                               {"s", DataDesc::string("label")}});
+  const Value v(ValueStruct{{"x", Value(-42)}, {"s", Value("hello")}});
+  for (const char* snd : {"x86", "sparc"}) {
+    const auto wire = pbio_codec().encode(*sent, v, arch_by_name(snd));
+    EXPECT_EQ(pbio_codec().decode(*expected, wire, arch_by_name("amd64")), v) << snd;
+  }
+}
+
 TEST(Xml, EscapesMarkup) {
   auto desc = datadesc_by_name("string");
   const Value v(std::string("a<b>&c\"d"));
@@ -393,6 +428,133 @@ TEST(Codecs, EmptyStringAndEmptyDynArray) {
     const auto wire = codec->encode(*desc, v, arch_by_name("sparc"));
     EXPECT_EQ(codec->decode(*desc, wire, arch_by_name("x86")), v) << codec->name();
   }
+}
+
+TEST(Codecs, ReceiverOverflowMessage) {
+  // A 64-bit long survives an LP64 sender (and XDR's hyper) but not an ILP32
+  // receiver. CDR has no such case: its IDL widths never exceed a receiver's.
+  auto desc = DataDesc::scalar(CType::kLong, "hops");
+  for (const Codec* codec : {&ndr_codec(), &xdr_codec(), &pbio_codec()}) {
+    const auto wire = codec->encode(*desc, Value(int64_t{1} << 40), arch_by_name("amd64"));
+    EXPECT_EQ(decode_error(*codec, *desc, wire, "x86"),
+              "hops (receiver): value 1099511627776 does not fit in 4 bytes")
+        << codec->name();
+  }
+}
+
+TEST(Codecs, SenderOverflowMessage) {
+  // x86's long and CDR's IDL long are 4 bytes; XDR sends a uint16 in 4.
+  auto hops = DataDesc::scalar(CType::kLong, "hops");
+  auto port = DataDesc::scalar(CType::kUInt16, "port");
+  struct Case {
+    const Codec* codec;
+    const DataDesc* desc;
+    Value value;
+    const char* error;
+  };
+  const Case cases[] = {
+      {&ndr_codec(), hops.get(), Value(int64_t{1} << 40), "hops: value 1099511627776 does not fit in 4 bytes"},
+      {&pbio_codec(), hops.get(), Value(int64_t{1} << 40), "hops: value 1099511627776 does not fit in 4 bytes"},
+      {&cdr_codec(), hops.get(), Value(int64_t{1} << 40), "hops: value 1099511627776 does not fit in 4 bytes"},
+      {&xdr_codec(), port.get(), Value(uint64_t{1} << 33), "port: value 8589934592 does not fit in 4 bytes"},
+  };
+  for (const Case& c : cases) {
+    try {
+      (void)c.codec->encode(*c.desc, c.value, arch_by_name("x86"));
+      ADD_FAILURE() << c.codec->name() << " encoded a value too wide for the wire";
+    } catch (const sg::xbt::InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), c.error) << c.codec->name();
+    }
+  }
+}
+
+TEST(Codecs, ShapeMismatchRejected) {
+  auto pair = DataDesc::struct_("pair", {{"x", datadesc_by_name("int")},
+                                         {"y", datadesc_by_name("int")}});
+  auto triple = DataDesc::fixed_array(datadesc_by_name("int"), 3, "triple");
+  struct Case {
+    const DataDesc* desc;
+    Value value;
+    const char* error;
+  };
+  const Case cases[] = {
+      {pair.get(), Value(ValueStruct{{"x", Value(1)}}), "pair: value has 1 fields, description has 2"},
+      {pair.get(), Value(ValueStruct{{"x", Value(1)}, {"y", Value(2)}, {"z", Value(3)}}),
+       "pair: value has 3 fields, description has 2"},
+      {triple.get(), Value(ValueList{Value(1), Value(2)}),
+       "triple: value has 2 elements, description has 3"},
+      {triple.get(), Value(ValueList{Value(1), Value(2), Value(3), Value(4)}),
+       "triple: value has 4 elements, description has 3"},
+  };
+  for (const Codec* codec : all_codecs()) {
+    for (const Case& c : cases) {
+      try {
+        (void)codec->encode(*c.desc, c.value, arch_by_name("sparc"));
+        ADD_FAILURE() << codec->name() << " encoded " << c.value.to_string();
+      } catch (const sg::xbt::InvalidArgument& e) {
+        EXPECT_EQ(std::string(e.what()), c.error) << codec->name();
+      }
+    }
+  }
+}
+
+TEST(Codecs, BuffersGrowPastFixedSize) {
+  // Strings and dynamic arrays are not part of a description's fixed size,
+  // so large ones must grow the encoder's buffer.
+  auto desc = DataDesc::struct_("bulk", {{"s", DataDesc::string("s")},
+                                         {"d", DataDesc::dyn_array(datadesc_by_name("double"), "d")}});
+  ValueList numbers;
+  for (int i = 0; i < 1000; ++i)
+    numbers.emplace_back(i * 0.25);
+  const Value v(ValueStruct{{"s", Value(std::string(5000, 'x'))}, {"d", Value(std::move(numbers))}});
+  for (const Codec* codec : all_codecs())
+    for (const char* snd : {"x86", "sparc"}) {
+      const auto wire = codec->encode(*desc, v, arch_by_name(snd));
+      EXPECT_EQ(codec->decode(*desc, wire, arch_by_name("ppc")), v) << codec->name() << " " << snd;
+    }
+}
+
+TEST(Codecs, HugeDynArrayCountRejected) {
+  // A corrupt element count must fail as a truncated buffer, not as an
+  // attempt to allocate billions of elements up front.
+  auto desc = DataDesc::dyn_array(datadesc_by_name("int"), "d");
+  for (const Codec* codec : {&ndr_codec(), &xdr_codec(), &cdr_codec(), &pbio_codec()}) {
+    auto wire = codec->encode(*desc, Value(ValueList{}), arch_by_name("x86"));
+    ASSERT_GE(wire.size(), 4u);
+    for (size_t i = wire.size() - 4; i < wire.size(); ++i)  // the count is the last word
+      wire[i] = 0xFF;
+    EXPECT_THROW(codec->decode(*desc, wire, arch_by_name("x86")), sg::xbt::InvalidArgument)
+        << codec->name();
+  }
+}
+
+TEST(CodecConcurrency, SharedDescriptionAcrossThreads) {
+  // Plans are built with the descriptions and never mutated, so threads may
+  // encode and decode through one shared description without a lock.
+  const DataDescPtr desc = pastry_message_desc();
+  std::vector<Value> messages;
+  sg::xbt::Rng rng(42);
+  for (int i = 0; i < 8; ++i)
+    messages.push_back(make_pastry_message(rng, 128));
+  const std::vector<const Codec*> codecs = all_codecs();
+  const char* archs[] = {"x86", "sparc", "ppc", "amd64"};
+  constexpr int kThreads = 4;
+  int failures[kThreads] = {};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const Codec& codec = *codecs[static_cast<size_t>(i + t) % codecs.size()];
+        const Value& msg = messages[static_cast<size_t>(i) % messages.size()];
+        const auto wire = codec.encode(*desc, msg, arch_by_name(archs[(i + t) % 4]));
+        if (!(codec.decode(*desc, wire, arch_by_name(archs[i % 4])) == msg))
+          ++failures[t];
+      }
+    });
+  for (std::thread& th : threads)
+    th.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
 }
 
 TEST(Pastry, GeneratedMessagesMatchDesc) {
