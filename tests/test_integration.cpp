@@ -159,10 +159,16 @@ INSTANTIATE_TEST_SUITE_P(RingSizes, MsgPipelineSweep, ::testing::Values(2, 3, 5,
 
 // -- SMPI collectives on varied platform shapes ------------------------------------------
 
+// ctest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: `hetero` is an int, not a bool, because a bool would
+// leave three padding bytes holding whatever the stack held (on PIE builds, a
+// byte of an ASLR-randomised address), and the case names would change from
+// one build to the next.
 struct CollectiveCase {
   int ranks;
-  bool hetero;
+  int hetero;
 };
+static_assert(sizeof(CollectiveCase) == 2 * sizeof(int), "CollectiveCase must have no padding");
 
 class SmpiCollectiveSweep : public IntegrationTest,
                             public ::testing::WithParamInterface<CollectiveCase> {};
@@ -197,9 +203,9 @@ TEST_P(SmpiCollectiveSweep, AllreduceAllgatherAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, SmpiCollectiveSweep,
-                         ::testing::Values(CollectiveCase{2, false}, CollectiveCase{3, true},
-                                           CollectiveCase{4, false}, CollectiveCase{7, true},
-                                           CollectiveCase{8, false}, CollectiveCase{16, true}));
+                         ::testing::Values(CollectiveCase{2, 0}, CollectiveCase{3, 1},
+                                           CollectiveCase{4, 0}, CollectiveCase{7, 1},
+                                           CollectiveCase{8, 0}, CollectiveCase{16, 1}));
 
 // -- GRAS across the stack -------------------------------------------------------------
 
